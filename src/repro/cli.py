@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Optional
@@ -65,12 +66,35 @@ EXPERIMENTS = (
 )
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _scale(text: str) -> float:
+    value = _number(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", type=float, default=0.25,
+    common.add_argument("--scale", type=_scale, default=0.25,
                         help="world scale (1.0 = full paper scale)")
     common.add_argument("--seed", type=int, default=1808)
-    common.add_argument("--loss", type=float, default=0.0,
+    common.add_argument("--loss", type=_probability, default=0.0,
                         help="per-link packet loss probability "
                              "(enables fault injection)")
     common.add_argument("--fault-seed", type=int, default=0,

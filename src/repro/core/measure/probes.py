@@ -17,7 +17,6 @@ Two tools:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -26,9 +25,6 @@ from ...middlebox.notification import looks_like_block_page
 from ...netsim.devices import Host
 from ...netsim.packets import IcmpType, Packet, TCPFlags, make_tcp_packet
 from ...netsim.tcp import TCPApp
-
-_raw_ports = itertools.count(48000)
-
 
 @dataclass
 class ProbeObservation:
@@ -201,7 +197,7 @@ class RawProbeSession:
         self.client = client
         self.dst_ip = dst_ip
         self.dst_port = dst_port
-        self.local_port = next(_raw_ports)
+        self.local_port = next(client.stack.raw_ports)
         self.seq = 77_000
         self._saved_rst_behaviour: Optional[bool] = None
 

@@ -17,6 +17,7 @@ samples of the ISP master list at the profile's consistency density.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -385,7 +386,7 @@ class ISPBuilder:
             f"{self.profile.name}-peer-{stub_name}",
             blocklist=blocklist,
             scoped=False,
-            seed_tag=hash(stub_name) & 0xFFFF,
+            seed_tag=zlib.crc32(stub_name.encode("ascii")) & 0xFFFF,
         )
         if box.kind == "wiretap":
             router.attach_tap(box)

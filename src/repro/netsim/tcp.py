@@ -519,6 +519,11 @@ class TCPStack:
         self.connections: Dict[ConnKey, TCPConnection] = {}
         self.listeners: Dict[int, Callable[[], TCPApp]] = {}
         self._next_local_port = itertools.count(40000)
+        #: Source ports for raw crafted-packet probe sessions.  Kept per
+        #: stack, not per process, so a unit's ports (and the trace flow
+        #: ids that embed them) do not depend on which units ran before
+        #: it in the same process.
+        self.raw_ports = itertools.count(48000)
         #: When False the stack never answers unknown segments with RST
         #: (used to model silent endpoints during scans).
         self.send_rst_for_unknown = True

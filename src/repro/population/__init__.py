@@ -4,12 +4,11 @@ Simulates *populations* of synthetic users per ISP instead of
 individual scripted clients: each cohort carries a Zipf browsing mix
 over the million-domain :class:`~repro.websites.synthetic
 .SyntheticCorpus` and a diurnal session-arrival schedule, and a whole
-day of sessions batches through the slotted calendar queue
-(:class:`~repro.netsim.scheduler.SlotCalendar`) as per-(cohort, hour)
-events working over flyweight ``array`` columns — no per-packet or
-per-session objects.  Outcomes accumulate in mergeable sketches
-(count-min + bottom-k reservoir) so memory stays O(cohorts) no matter
-how many sessions run.  See ``docs/POPULATION.md``.
+day of sessions runs as per-(cohort, hour) batches over flyweight
+``array`` columns — no per-packet or per-session objects.  Outcomes
+accumulate in mergeable sketches (count-min + bottom-k reservoir) so
+memory stays O(cohorts) no matter how many sessions run.  See
+``docs/POPULATION.md``.
 """
 
 from .cohorts import (
@@ -28,7 +27,6 @@ from .engine import (
     population_scale,
     zipf_mix,
 )
-from .reference import ReferenceSession, simulate_reference
 from .sketches import BottomKReservoir, CountMinSketch
 
 __all__ = [
@@ -42,10 +40,8 @@ __all__ = [
     "PopulationConfig",
     "PopulationEngine",
     "PopulationOutcome",
-    "ReferenceSession",
     "apportion",
     "hourly_sessions",
     "population_scale",
-    "simulate_reference",
     "zipf_mix",
 ]

@@ -1,10 +1,7 @@
-"""The population engine: a day of sessions through the slot calendar.
+"""The population engine: a day of sessions as batched cohort-hours.
 
 Instead of scripting clients one TCP handshake at a time, the engine
-schedules one event per *(cohort, hour-of-day)* on a standalone
-:class:`~repro.netsim.scheduler.SlotCalendar` (one virtual second per
-hour, so late-evening batches start in the calendar's overflow heap
-and exercise horizon migration) and each event processes its whole
+loops over every *(cohort, hour-of-day)* pair and processes that
 batch of sessions over flyweight ``array`` columns — rank, category
 and outcome are parallel scalar columns, never per-session objects.
 The per-cohort sampling constants (Zipf CDF, per-category block
@@ -19,8 +16,8 @@ counts.  Per session the draw order is fixed: two uniforms for the
 Zipf rank, then (only if the domain is on the ISP's master list — a
 hash property, not a draw) one uniform against the ISP's enforcement
 probability.  ``tests/population/test_engine.py`` pins the batched
-engine against the per-session reference implementation in
-:mod:`repro.population.reference`, which replays the same draws one
+engine against a per-session reference implementation
+(``tests/population/reference.py``), which replays the same draws one
 session object at a time.
 """
 
@@ -35,7 +32,6 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from ..isps.profiles import ISPProfile, profile as isp_profile
-from ..netsim.scheduler import SlotCalendar
 from ..websites.synthetic import DEFAULT_SYNTHETIC_SIZE, SyntheticCorpus
 from .cohorts import CohortSpec, DEFAULT_COHORTS, apportion, hourly_sessions
 from .sketches import (BottomKReservoir, CountMinSketch, DEFAULT_DEPTH,
@@ -46,11 +42,6 @@ from .sketches import (BottomKReservoir, CountMinSketch, DEFAULT_DEPTH,
 #: ``leaked`` = on the list but unenforced (partial coverage and
 #: inconsistent blocklists — the paper's §5 story at population scale).
 OUTCOME_NAMES: Tuple[str, ...] = ("ok", "blocked", "leaked")
-
-#: Virtual seconds per hour-of-day on the calendar.  24 h then spans
-#: 24 s against the ring's 10.24 s horizon, so a day's schedule
-#: genuinely exercises the overflow heap and migration path.
-HOUR_SPAN = 1.0
 
 #: Environment knob: multiply the configured session volume (smoke
 #: jobs run the same campaign at 0.04x).  Parsed leniently — see
@@ -208,16 +199,6 @@ class _CohortPlan:
         self.hourly = hourly
 
 
-class _Clock:
-    """The minimal network stand-in :meth:`SlotCalendar.drain` needs."""
-
-    __slots__ = ("now", "step_hook")
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.step_hook = None
-
-
 @dataclass
 class PopulationOutcome:
     """One ISP-day of aggregated session outcomes (O(cohorts) memory)."""
@@ -229,11 +210,8 @@ class PopulationOutcome:
     counts: Dict[str, List[int]]
     #: Sessions per hour-of-day (sums to ``sessions``).
     hourly: List[int]
-    #: Batches executed / calendar slots activated / overflow
-    #: migrations — evidence the day ran through the slotted core.
+    #: Non-empty (cohort, hour) batches executed.
     batches: int = 0
-    slots_activated: int = 0
-    overflow_migrations: int = 0
     blocked_counts: CountMinSketch = field(default_factory=CountMinSketch)
     exemplars: BottomKReservoir = field(default_factory=BottomKReservoir)
 
@@ -308,19 +286,11 @@ class PopulationEngine:
             exemplars=BottomKReservoir(k=config.reservoir_k,
                                        seed=config.seed),
         )
-        calendar = SlotCalendar()
-        clock = _Clock()
-        seq = 0
         for plan in self._plans:
             for hour, batch in enumerate(plan.hourly):
                 if batch:
-                    calendar.push(hour * HOUR_SPAN, seq, self._run_batch,
-                                  (plan, hour, batch, outcome))
-                    seq += 1
-        calendar.drain(clock, until=None, max_events=seq + 1)
-        outcome.batches = calendar.drained
-        outcome.slots_activated = calendar.slots_activated
-        outcome.overflow_migrations = calendar.overflow_migrations
+                    self._run_batch(plan, hour, batch, outcome)
+                    outcome.batches += 1
         return outcome
 
     def _run_batch(self, plan: _CohortPlan, hour: int, batch: int,

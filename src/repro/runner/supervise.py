@@ -52,6 +52,7 @@ import collections
 import dataclasses
 import multiprocessing
 import os
+import signal
 import time
 from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -83,6 +84,13 @@ DEFAULT_HARD_GRACE = 2.0
 
 #: How long to wait for a worker to die after ``kill()``.
 JOIN_TIMEOUT = 5.0
+
+#: Parent-side pipe ends of every live worker in this process, across
+#: all supervisors.  A forked worker inherits them and must close them
+#: all: while any copy of its own parent end stays open, ``recv()``
+#: never sees EOF when the parent dies, and the worker would outlive
+#: it.
+_PARENT_ENDS: set = set()
 
 
 def quarantine_record(experiment: str, unit_name: str,
@@ -177,7 +185,17 @@ def _worker_main(settings, conn) -> None:
     fatal result — except ``MemoryError`` outside a unit, where the
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
+
+    The parent owns shutdown: inherited pipe ends are closed so the
+    worker sees EOF once the parent is gone, SIGINT (a terminal's
+    Ctrl-C reaches the whole process group) is left to the parent's
+    graceful drain, and SIGTERM kills the worker instead of landing in
+    a stop handler inherited from the parent that nothing here reads.
     """
+    for parent_end in list(_PARENT_ENDS):
+        parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     worker_initializer(settings)
     while True:
         try:
@@ -511,6 +529,7 @@ class Supervisor:
             target=_worker_main,
             args=(self.settings, child_conn),
             daemon=True, name=f"repro-campaign-worker-{worker_id}")
+        _PARENT_ENDS.add(parent_conn)
         process.start()
         child_conn.close()
         slot = _Slot(worker_id, process, parent_conn)
@@ -526,6 +545,7 @@ class Supervisor:
             self._slots.remove(slot)
         except ValueError:  # pragma: no cover - defensive
             pass
+        _PARENT_ENDS.discard(slot.conn)
         try:
             slot.conn.close()
         except OSError:  # pragma: no cover - teardown race
@@ -547,6 +567,7 @@ class Supervisor:
             if slot.process.is_alive():
                 slot.process.kill()
                 slot.process.join(JOIN_TIMEOUT)
+            _PARENT_ENDS.discard(slot.conn)
             try:
                 slot.conn.close()
             except OSError:  # pragma: no cover - teardown race

@@ -1,9 +1,9 @@
 """The per-session reference the batched engine is pinned against.
 
-This is the implementation the tentpole *replaced*: one Python object
-per session, attributes resolved through the corpus's public methods,
-no columns, no calendar, no sketches.  It exists so the property test
-(``tests/population/test_engine.py``) can assert that cohort-level
+This is the implementation the batched engine replaced: one Python
+object per session, attributes resolved through the corpus's public
+methods, no columns, no sketches.  It exists so the property test
+(``test_engine.py``) can assert that cohort-level
 vectorization changed the *cost* of a simulated day and nothing about
 its outcome: on the same seed, the engine's aggregate counts equal
 this loop's, exactly.
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional
 
-from ..isps.profiles import profile as isp_profile
-from ..websites.synthetic import SyntheticCorpus
-from .cohorts import apportion, hourly_sessions
-from .engine import (OUTCOME_NAMES, PopulationConfig,
-                     enforcement_probability, zipf_mix)
+from repro.isps.profiles import profile as isp_profile
+from repro.population.cohorts import apportion, hourly_sessions
+from repro.population.engine import (OUTCOME_NAMES, PopulationConfig,
+                                     enforcement_probability, zipf_mix)
+from repro.websites.synthetic import SyntheticCorpus
 
 
 @dataclass(frozen=True)

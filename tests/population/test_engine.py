@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.population.engine import (POPULATION_SCALE_ENV,
                                      PopulationConfig, PopulationEngine,
                                      ZipfMix, population_scale, zipf_mix)
-from repro.population.reference import (aggregate_counts,
-                                        aggregate_hourly,
-                                        simulate_reference)
 from repro.websites.synthetic import SyntheticCorpus
+
+from .reference import aggregate_counts, aggregate_hourly, simulate_reference
 
 #: Small support sizes so the zipf CDF memo stays tiny under hypothesis.
 CORPUS_SIZES = (512, 2000)
@@ -54,12 +53,8 @@ class TestEngineEqualsReference:
 
 
 class TestEngineMechanics:
-    def test_day_exercises_the_calendar_overflow(self):
+    def test_day_runs_every_cohort_hour_batch(self):
         outcome, _ = _run_both("airtel", 7, 1000, 2000)
-        # 24 one-second hours against a 10.24 s ring horizon: the
-        # evening batches must start in the overflow heap.
-        assert outcome.overflow_migrations > 0
-        assert outcome.slots_activated >= 20
         assert outcome.batches > 24
 
     def test_sketch_sees_every_blocked_session(self):

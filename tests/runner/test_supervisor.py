@@ -10,6 +10,10 @@ ids, crash events) stay in sidecars.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -193,3 +197,58 @@ class TestSupervisorUnit:
         by_name = {o.unit_name: o for o in outcomes}
         assert by_name["idea"].attempts == 2
         assert all(o.record["status"] == "ok" for o in outcomes)
+
+
+def _children(pid):
+    """Live (non-zombie) child pids of *pid*, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to find worker processes")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_sigkilled(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "tcpip", "table3",
+             "--scale", str(SCALE), "--workers", "2",
+             "--run-dir", str(tmp_path / "run")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert parent.poll() is None, "campaign ended too early"
+                workers = _children(parent.pid)
+                time.sleep(0.05)
+            assert len(workers) == 2
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "workers outlived their SIGKILLed parent"

@@ -23,6 +23,21 @@ class TestParser:
         args = build_parser().parse_args(["info", "--scale", "0.5"])
         assert args.scale == 0.5
 
+    @pytest.mark.parametrize("argv, message", [
+        (["campaign", "table2", "--scale", "0"], "positive"),
+        (["campaign", "table2", "--scale", "-1"], "positive"),
+        (["info", "--scale", "nan"], "positive"),
+        (["info", "--scale", "big"], "not a number"),
+        (["fetch", "idea", "--loss", "1.5"], "[0, 1]"),
+        (["campaign", "--loss", "-0.1"], "[0, 1]"),
+    ])
+    def test_bad_numbers_exit_2_with_a_message(self, argv, message,
+                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):
