@@ -181,7 +181,7 @@ def _count_stale_blocking(world, isp, report) -> None:
         if site.is_dead and site.domain in world.blocklists.http.get(isp, ())
     }
     report.dead_sites_on_blocklist = len(dead_blocked)
-    for domain in dead_blocked:
+    for domain in sorted(dead_blocked):
         dst_ip = world.hosting.ip_for(domain, region="in")
         if dst_ip is None:
             continue
