@@ -51,16 +51,11 @@ def test_packet_level_fetch_throughput(benchmark, perf_world):
 
 
 def test_slot_scheduler_fetch(benchmark, perf_world):
-    """Fetch throughput pinned to the slotted calendar queue.
+    """Fetch throughput through the slotted calendar queue.
 
-    Same shape as the main fetch bench but over a different site slice
-    and explicitly asserting the scheduler, so the baseline tracks the
-    calendar queue itself (the main fetch case follows whatever the
-    session default is)."""
+    Same shape as the main fetch bench but over a different site
+    slice, so the trajectory carries a second fetch case."""
     world = perf_world
-    network = world.network
-    network.set_scheduler("slots")
-    assert network.scheduler == "slots"
     client = world.client_of("mtnl")
     blocked = world.blocklists.all_blocked_domains()
     sites = [s for s in world.corpus
@@ -174,108 +169,36 @@ def test_express_dns_probe_throughput(benchmark, perf_world):
 
 
 def test_fib_speedup_express_probe(perf_world):
-    """Acceptance check: the FIB fast path buys >=2x on express probes.
+    """Acceptance check: the routing caches buy >=2x on path lookups.
 
-    The same sweep as the throughput bench, timed once with the
-    forwarding caches on (warm) and once with
-    ``routing_cache_enabled = False`` — which routes every probe
-    through the seed implementation, bypassing the FIB, the path
-    cache, and the express box memo.
+    Times the express sweep's (client, destination) pairs through a
+    warm ``path_to`` (FIB, flow-hash memo and path cache) against the
+    :class:`RoutingOracle`, which recomputes every hop's equal-cost
+    candidates from the topology graph, and requires identical paths.
     """
+    from tests.netsim.oracles import RoutingOracle
+
     world = perf_world
-    client = world.client_of("idea")
-    domains = world.corpus.domains()
-    payloads = [(world.hosting.ip_for(d, "in"), canonical_payload(d))
-                for d in domains]
     network = world.network
+    client = world.client_of("idea")
+    destinations = [world.hosting.ip_for(d, "in")
+                    for d in world.corpus.domains()]
+    oracle = RoutingOracle(network)
 
-    def sweep():
-        censored = 0
-        for ip, payload in payloads:
-            verdict = express_http_probe(network, client, ip, payload)
-            censored += verdict.censored
-        return censored
-
-    def timed():
+    def timed(router):
         start = time.perf_counter()
-        censored = sweep()
-        return time.perf_counter() - start, censored
+        paths = [router.path_to(client, ip) for ip in destinations]
+        return time.perf_counter() - start, paths
 
-    sweep()  # warm the FIB, path cache, and box memo
-    fast = min(timed() for _ in range(3))
-    assert network.routing_cache_enabled
-    network.routing_cache_enabled = False
-    try:
-        slow = min(timed() for _ in range(2))
-    finally:
-        network.routing_cache_enabled = True  # perf_world is shared
-    assert fast[1] == slow[1], "cached and uncached verdicts diverged"
+    timed(network)  # warm the FIB and path cache
+    timed(oracle)  # warm the oracle's distance maps
+    fast = min((timed(network) for _ in range(3)), key=lambda r: r[0])
+    slow = min((timed(oracle) for _ in range(2)), key=lambda r: r[0])
+    assert fast[1] == slow[1], "cached and oracle paths diverged"
     speedup = slow[0] / fast[0]
     assert speedup >= 2.0, (
-        f"FIB fast path only {speedup:.2f}x over the seed routing "
-        f"(cached {fast[0] * 1e3:.1f} ms vs uncached "
-        f"{slow[0] * 1e3:.1f} ms)")
-
-
-def test_event_core_speedup_fetch(perf_world):
-    """Acceptance check: the batched event core buys >=1.5x on fetches.
-
-    The same batch as the fetch throughput bench, timed once with the
-    event-core defaults (calendar queue, packet pool, delivery plans,
-    content memo) and once with every one of their escape hatches
-    pulled — ``scheduler="heap"``, ``packet_pooling_enabled = False``,
-    ``delivery_plans_enabled = False``, content cache off — while the
-    routing caches stay ON, so the ratio isolates this subsystem from
-    the FIB's (which has its own gate above).  Measured ~1.9x locally;
-    the gate sits at 1.5x to absorb shared-runner jitter (the full
-    >=2x-versus-seed gate runs in CI via ``perf_trajectory check``,
-    where the baseline predates the FIB too).
-    """
-    from repro.websites.content import set_content_cache
-
-    world = perf_world
-    network = world.network
-    client = world.client_of("nkn")
-    blocked = world.blocklists.all_blocked_domains()
-    sites = [s for s in world.corpus
-             if s.domain not in blocked and s.hosting == "normal"
-             and not s.https][:20]
-    targets = [(world.hosting.ip_for(s.domain, "in"), s.domain)
-               for s in sites]
-
-    def fetch_batch():
-        ok = 0
-        for ip, domain in targets:
-            result = fetch_url(network, client, ip, domain)
-            ok += bool(result.ok)
-        return ok
-
-    def timed():
-        start = time.perf_counter()
-        ok = fetch_batch()
-        return time.perf_counter() - start, ok
-
-    fetch_batch()  # warm the FIB and plan caches
-    network.set_scheduler("slots")
-    fast = min(timed() for _ in range(3))
-    assert network.routing_cache_enabled
-    try:
-        network.set_scheduler("heap")
-        network.packet_pooling_enabled = False
-        network.delivery_plans_enabled = False
-        set_content_cache(False)
-        slow = min(timed() for _ in range(2))
-    finally:  # perf_world is shared
-        network.set_scheduler("slots")
-        network.packet_pooling_enabled = True
-        network.delivery_plans_enabled = True
-        set_content_cache(True)
-    assert fast[1] == slow[1] == len(targets), \
-        "event core changed fetch outcomes"
-    speedup = slow[0] / fast[0]
-    assert speedup >= 1.5, (
-        f"batched event core only {speedup:.2f}x over the seed core "
-        f"(defaults {fast[0] * 1e3:.1f} ms vs escape hatches "
+        f"routing caches only {speedup:.2f}x over the oracle "
+        f"(cached {fast[0] * 1e3:.1f} ms vs oracle "
         f"{slow[0] * 1e3:.1f} ms)")
 
 
@@ -286,8 +209,8 @@ def test_trace_overhead_express_probe(perf_world):
     This is the cost a campaign pays for *enabled* tracing when no one
     is listening — each probe's emit site runs its two attribute tests
     (``trace is not None``, ``trace.active``) and nothing else.  The
-    sweep is the same one the FIB gate times; both states are measured
-    min-of-N to shave scheduler noise.
+    sweep is the same one the throughput bench times; both states are
+    measured min-of-N to shave scheduler noise.
     """
     from repro.obs.trace import TraceBus
 

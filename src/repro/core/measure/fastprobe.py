@@ -71,12 +71,9 @@ def middleboxes_along(network: Network, client: Host, dst_ip: str,
     Cached per (client, destination, source address) until the
     network's topology generation moves.  Callers must treat the
     returned list as read-only — both express probe flavours only
-    iterate it.  Setting ``network.routing_cache_enabled = False``
-    bypasses the memo (equivalence tests and benchmarks).
+    iterate it.
     """
     client_ip = client_ip or client.ip
-    if not network.routing_cache_enabled:
-        return _walk_middleboxes(network, client, dst_ip, client_ip)
     generation = network.topology_generation
     entry = _BOX_CACHE.get(network)
     if entry is None or entry[0] != generation:
@@ -85,24 +82,18 @@ def middleboxes_along(network: Network, client: Host, dst_ip: str,
     key = (client.name, dst_ip, client_ip)
     found = entry[1].get(key)
     if found is None:
-        found = _walk_middleboxes(network, client, dst_ip, client_ip)
+        try:
+            path = network.path_to(client, dst_ip, src_ip=client_ip)
+        except RoutingError:
+            path = []
+        found = []
+        for hop, node in enumerate(path[1:], start=1):
+            if isinstance(node, Router):
+                for box in node.taps:
+                    found.append((hop, box))
+                if node.inline_middlebox is not None:
+                    found.append((hop, node.inline_middlebox))
         entry[1][key] = found
-    return found
-
-
-def _walk_middleboxes(network: Network, client: Host, dst_ip: str,
-                      client_ip: str) -> List[tuple]:
-    try:
-        path = network.path_to(client, dst_ip, src_ip=client_ip)
-    except RoutingError:
-        return []
-    found = []
-    for hop, node in enumerate(path[1:], start=1):
-        if isinstance(node, Router):
-            for box in node.taps:
-                found.append((hop, box))
-            if node.inline_middlebox is not None:
-                found.append((hop, node.inline_middlebox))
     return found
 
 
@@ -122,17 +113,6 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[int, Dict]]" = \
 _UNROUTABLE = ("unroutable", ())
 
 
-def plans_enabled(network: Network) -> bool:
-    """Express probes compile plans only when both cache layers are on.
-
-    ``routing_cache_enabled = False`` is the verbatim-seed escape hatch
-    and must bypass every memo; ``delivery_plans_enabled = False``
-    turns off just the compiled plans while keeping PR 4's FIB/path
-    caches (useful for isolating a suspected plan bug).
-    """
-    return network.routing_cache_enabled and network.delivery_plans_enabled
-
-
 def _plan_slot(network: Network) -> Dict:
     generation = network.topology_generation
     entry = _PLAN_CACHE.get(network)
@@ -149,8 +129,7 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
     The per-box port and scope gates run once at compile time
     (:meth:`Middlebox.express_profile`); probing a payload is then one
     bound-method call per surviving box.  Boxes without a profile hook
-    or a trigger spec (e.g. the DNS injector) compile to nothing, same
-    as the seed loop's ``spec is None`` skip.
+    or a trigger spec (e.g. the DNS injector) compile to nothing.
     """
     plans = _plan_slot(network)
     key = (client.name, dst_ip, client_ip, dst_port)
@@ -220,26 +199,13 @@ def express_http_probe(
     """Would this request payload be censored en route?"""
     client_ip = client_ip or client.ip
     verdict = NOT_CENSORED
-    if plans_enabled(network):
-        for hop, box, matcher, _blocklist in _http_plan(
-                network, client, dst_ip, client_ip, dst_port):
-            domain = matcher(payload)
-            if domain is not None:
-                verdict = ExpressVerdict(censored=True, domain=domain,
-                                         box=box, hop=hop)
-                break
-    else:
-        for hop, box in middleboxes_along(network, client, dst_ip, client_ip):
-            spec = getattr(box, "spec", None)
-            if spec is None or not spec.inspects_port(dst_port):
-                continue
-            if not box.in_scope(client_ip):
-                continue
-            domain = spec.matched_domain(payload)
-            if domain is not None:
-                verdict = ExpressVerdict(censored=True, domain=domain,
-                                         box=box, hop=hop)
-                break
+    for hop, box, matcher, _blocklist in _http_plan(
+            network, client, dst_ip, client_ip, dst_port):
+        domain = matcher(payload)
+        if domain is not None:
+            verdict = ExpressVerdict(censored=True, domain=domain,
+                                     box=box, hop=hop)
+            break
     trace = network.trace
     if trace is not None and trace.active:
         trace.emit("probe", network.now, client=client.name, dst=dst_ip,
@@ -268,14 +234,12 @@ def express_canonical_probe(
     client_ip = client_ip or client.ip
     wanted = domain.lower()
     if boxes is None:
-        if plans_enabled(network):
-            for hop, box, _matcher, blocklist in _http_plan(
-                    network, client, dst_ip, client_ip, 80):
-                if wanted in blocklist:
-                    return ExpressVerdict(censored=True, domain=wanted,
-                                          box=box, hop=hop)
-            return NOT_CENSORED
-        boxes = middleboxes_along(network, client, dst_ip, client_ip)
+        for hop, box, _matcher, blocklist in _http_plan(
+                network, client, dst_ip, client_ip, 80):
+            if wanted in blocklist:
+                return ExpressVerdict(censored=True, domain=wanted,
+                                      box=box, hop=hop)
+        return NOT_CENSORED
     for hop, box in boxes:
         spec = getattr(box, "spec", None)
         if spec is None or not spec.inspects_port(80):
@@ -341,36 +305,18 @@ def express_dns_probe(
     Walks the path for inline DNS injectors first (they answer from
     mid-path), then consults the resolver service itself.
     """
-    if plans_enabled(network):
-        kind, injectors = _dns_plan(network, client, resolver_ip)
-        if kind == "unroutable":
-            return NO_ANSWER
-        bare = qname[4:] if qname.startswith("www.") else qname
-        for box in injectors:
-            if qname in box.blocklist or bare in box.blocklist:
-                return ExpressDNSAnswer(
-                    responded=True,
-                    ips=(box.poison_strategy(qname),),
-                    rcode="NOERROR", injected=True, injector=box,
-                )
-        service = resolver_service_at(network, resolver_ip)
-    else:
-        try:
-            path = network.path_to(client, resolver_ip)
-        except RoutingError:
-            return NO_ANSWER
-        for node in path[1:-1]:
-            if isinstance(node, Router) and node.inline_middlebox is not None:
-                box = node.inline_middlebox
-                if isinstance(box, DNSInjectorMiddlebox):
-                    bare = qname[4:] if qname.startswith("www.") else qname
-                    if qname in box.blocklist or bare in box.blocklist:
-                        return ExpressDNSAnswer(
-                            responded=True,
-                            ips=(box.poison_strategy(qname),),
-                            rcode="NOERROR", injected=True, injector=box,
-                        )
-        service = resolver_service_at(network, resolver_ip)
+    kind, injectors = _dns_plan(network, client, resolver_ip)
+    if kind == "unroutable":
+        return NO_ANSWER
+    bare = qname[4:] if qname.startswith("www.") else qname
+    for box in injectors:
+        if qname in box.blocklist or bare in box.blocklist:
+            return ExpressDNSAnswer(
+                responded=True,
+                ips=(box.poison_strategy(qname),),
+                rcode="NOERROR", injected=True, injector=box,
+            )
+    service = resolver_service_at(network, resolver_ip)
     if service is None:
         return NO_ANSWER
     config = service.config

@@ -20,7 +20,6 @@ queue and the forwarding logic.  Forwarding implements:
 from __future__ import annotations
 
 import itertools
-import os
 import zlib
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -41,7 +40,7 @@ from .faults import (
     HardeningPolicy,
 )
 from .packets import Packet, PacketPool, make_time_exceeded
-from .scheduler import make_scheduler
+from .scheduler import SlotCalendar
 from ..obs.trace import flow_id as _flow_id
 
 #: Default one-way link delay in (virtual) seconds.
@@ -96,7 +95,7 @@ def _ecmp_hash(src_ip: Optional[str], dst_ip: str, node_name: str) -> int:
 class Network:
     """The simulated internetwork: topology, clock, events, forwarding."""
 
-    def __init__(self, *, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.graph = nx.Graph()
         self.nodes: Dict[str, Node] = {}
         self.ip_owner: Dict[str, Node] = {}
@@ -105,14 +104,7 @@ class Network:
         #: Drops not retained in :attr:`drops` once the list is full.
         self.drops_truncated = 0
         self._drop_counter: Counter = Counter()
-        #: Event scheduler: the slotted calendar queue by default, the
-        #: seed binary heap as the verbatim escape hatch.  Selected per
-        #: instance (``Network(scheduler="heap")``) or process-wide via
-        #: ``REPRO_SCHEDULER=heap`` — both orderings are byte-identical
-        #: (property-tested), so the hatch exists for differential
-        #: debugging, not correctness.
-        kind = scheduler or os.environ.get("REPRO_SCHEDULER") or "slots"
-        self._sched = make_scheduler(kind)
+        self._sched = SlotCalendar()
         self._push = self._sched.push
         self._seq = itertools.count()
         self._dist_cache: Dict[str, Dict[str, float]] = {}
@@ -130,31 +122,15 @@ class Network:
         self._path_cache: Dict[Tuple[str, str, Optional[str]],
                                Tuple[Node, ...]] = {}
         #: (node name, dst_ip, src_ip) -> compiled forwarding step —
-        #: the delivery plan consulted by :meth:`transmit` and
-        #: :meth:`_route_through` instead of re-deriving next hop and
-        #: link delay per packet.  Built lazily from :meth:`next_hop`
-        #: (so equivalence is by construction), invalidated with the
-        #: other routing caches.
+        #: the delivery plan every forwarding decision consults instead
+        #: of re-deriving next hop and link delay per packet.  Built
+        #: lazily from :meth:`next_hop`, invalidated with the other
+        #: routing caches.
         self._fwd_plans: Dict[Tuple[str, str, Optional[str]], tuple] = {}
-        #: Escape hatch for equivalence tests and benchmarks: when
-        #: False, :meth:`next_hop`/:meth:`path_to` recompute from the
-        #: graph every call (the seed implementation, byte for byte).
-        self.routing_cache_enabled = True
-        #: Escape hatch for precompiled delivery plans at *both*
-        #: layers: the engine's per-(node, dst, src) forwarding plans
-        #: (including transit-hop fusion) and the express-probe plans
-        #: compiled by ``repro.core.measure.fastprobe``.  When False,
-        #: packets forward hop by hop over the cached FIB and express
-        #: probes re-walk the middlebox chain per call.
-        self.delivery_plans_enabled = True
-        #: Free-list reuse of TCP packet/segment pairs.  Toggled by
-        #: ``packet_pooling_enabled`` (or ``REPRO_PACKET_POOLING=0``);
-        #: pooling is invisible to results — recycled packets are fully
-        #: reset and the ip_id stream advances identically either way.
+        #: Free-list reuse of TCP packet/segment pairs.  Pooling is
+        #: invisible to results: recycled packets are fully reset and
+        #: the ip_id stream advances exactly as with fresh packets.
         self.packet_pool = PacketPool()
-        pooling = os.environ.get("REPRO_PACKET_POOLING", "1")
-        self.packet_pooling_enabled = \
-            pooling.lower() not in ("0", "false", "no", "off")
         #: Installed by :meth:`install_faults`; ``None`` means a perfect
         #: network — the seed repo's behaviour, byte for byte.
         self.faults: Optional[FaultInjector] = None
@@ -294,29 +270,6 @@ class Network:
     # Event queue
     # ------------------------------------------------------------------
 
-    @property
-    def scheduler(self) -> str:
-        """Active scheduler kind: ``"slots"`` or ``"heap"``."""
-        return self._sched.kind
-
-    @scheduler.setter
-    def scheduler(self, kind: str) -> None:
-        self.set_scheduler(kind)
-
-    def set_scheduler(self, kind: str) -> None:
-        """Switch scheduler implementations, migrating pending events.
-
-        Entry objects migrate as-is, so times, sequence numbers and any
-        outstanding cancellation handles all survive the switch.
-        """
-        if kind == self._sched.kind:
-            return
-        replacement = make_scheduler(kind)
-        for entry in self._sched.pop_all():
-            replacement.push_entry(entry)
-        self._sched = replacement
-        self._push = replacement.push
-
     def call_later(self, delay: float, fn: Callable, *args) -> list:
         """Schedule ``fn(*args)`` at ``now + delay``.
 
@@ -388,8 +341,7 @@ class Network:
 
     def _ecmp_candidates(self, node_name: str, dist: Dict[str, float]
                          ) -> List[str]:
-        """Sorted equal-cost next-hop names from *node_name* (seed
-        algorithm, shared by the FIB builder and the uncached path)."""
+        """Sorted equal-cost next-hop names from *node_name*."""
         best_cost = None
         candidates: List[str] = []
         for neighbor in self.graph.neighbors(node_name):
@@ -449,30 +401,11 @@ class Network:
         owner = self.ip_owner.get(dst_ip)
         if owner is None or owner is from_node:
             return None
-        if not self.routing_cache_enabled:
-            return self._next_hop_uncached(from_node, dst_ip, src_ip, owner)
         candidates = self._fib_for(owner.name).get(from_node.name)
         if not candidates:
             return None
         digest = self._flow_hash(src_ip, dst_ip, from_node.name)
         return self.nodes[candidates[digest % len(candidates)]]
-
-    def _next_hop_uncached(self, from_node: Node, dst_ip: str,
-                           src_ip: Optional[str], owner: Node
-                           ) -> Optional[Node]:
-        """The seed implementation: recompute candidates every call.
-
-        Kept as the reference the FIB fast path is property-tested
-        against (``routing_cache_enabled = False`` routes through it).
-        """
-        dist = self._distances_to(owner.name)
-        if dist.get(from_node.name) is None:
-            return None
-        candidates = self._ecmp_candidates(from_node.name, dist)
-        if not candidates:
-            return None
-        choice = _ecmp_hash(src_ip, dst_ip, from_node.name) % len(candidates)
-        return self.nodes[candidates[choice]]
 
     def path_to(self, from_node: Node, dst_ip: str, max_hops: int = 64,
                 src_ip: Optional[str] = None) -> List[Node]:
@@ -489,13 +422,12 @@ class Network:
         """
         if src_ip is None and from_node.ips:
             src_ip = from_node.ip
-        if self.routing_cache_enabled:
-            key = (from_node.name, dst_ip, src_ip)
-            cached = self._path_cache.get(key)
-            if cached is not None:
-                self.path_cache_hits += 1
-                return list(cached)
-            self.path_cache_misses += 1
+        key = (from_node.name, dst_ip, src_ip)
+        cached = self._path_cache.get(key)
+        if cached is not None:
+            self.path_cache_hits += 1
+            return list(cached)
+        self.path_cache_misses += 1
         owner = self.ip_owner.get(dst_ip)
         if owner is None:
             raise RoutingError(f"no node owns {dst_ip}")
@@ -503,10 +435,9 @@ class Network:
         current = from_node
         for _ in range(max_hops):
             if current is owner:
-                if self.routing_cache_enabled:
-                    if len(self._path_cache) >= PATH_CACHE_MAX:
-                        self._path_cache.clear()
-                    self._path_cache[key] = tuple(path)
+                if len(self._path_cache) >= PATH_CACHE_MAX:
+                    self._path_cache.clear()
+                self._path_cache[key] = tuple(path)
                 return path
             nxt = self.next_hop(current, dst_ip, src_ip)
             if nxt is None:
@@ -530,9 +461,9 @@ class Network:
                   src_ip: Optional[str]) -> tuple:
         """The compiled delivery plan from *from_node* for this flow.
 
-        Built once per (node, dst, src) from the same :meth:`next_hop`
-        the per-packet path uses, then served as two dict lookups — the
-        delivery-plan analogue of PR 4's FIB, one level higher.  Shapes:
+        Built once per (node, dst, src) from :meth:`next_hop`, then
+        served as two dict lookups — the delivery-plan analogue of the
+        FIB, one level higher.  Shapes:
 
         * ``(_PLAN_LINK, next_node, delay)`` — single forwarding step.
         * ``(_PLAN_EXPRESS, final_node, delays, n_transit, next_node,
@@ -542,11 +473,11 @@ class Network:
           actually processes traffic).  ``delays`` are the per-link
           delays in traversal order — accumulated left-to-right at use
           time they reproduce the per-hop arrival float exactly, since
-          the seed advances ``now`` to each intermediate event's time
-          before adding the next delay.  The trailing ``next_node,
-          delay`` pair is the single-step fallback used when something
-          *can* observe intermediate hops (faults, an active trace, or
-          a TTL that would expire mid-chain).
+          per-hop forwarding advances ``now`` to each intermediate
+          event's time before adding the next delay.  The trailing
+          ``next_node, delay`` pair is the single-step fallback used
+          when something *can* observe intermediate hops (faults, an
+          active trace, or a TTL that would expire mid-chain).
         * ``(_PLAN_LOCAL, owner, 0.0)`` — loopback delivery.
         * ``_NO_ROUTE_PLAN``.
 
@@ -599,58 +530,51 @@ class Network:
 
     def transmit(self, from_node: Node, packet: Packet) -> None:
         """Emit *packet* from *from_node* toward its destination."""
-        if self.routing_cache_enabled and self.delivery_plans_enabled:
-            plan = self._plan_for(from_node, packet.dst, packet.src)
-            kind = plan[0]
-            if kind == _PLAN_EXPRESS:
-                trace = self.trace
-                if (self.faults is None and packet.ttl > plan[3]
-                        and (trace is None or not trace.active)):
-                    when = self.now
-                    for delay in plan[2]:
-                        when += delay
-                    packet.ttl -= plan[3]
-                    # The skipped transit arrivals still count as
-                    # steps, so ``events_processed`` — and the
-                    # journal's per-unit "steps" — matches the per-hop
-                    # path (e.g. the same unit run under --trace).
-                    self._events_processed += plan[3]
-                    hook = self.step_hook
-                    if hook is not None:
-                        for _ in range(plan[3]):
-                            hook()
-                    self._push(when, next(self._seq),
-                               self._arrive, (plan[1], packet))
-                else:
-                    # Per-hop fallback: take one step; downstream
-                    # routers re-decide at their own plan.
-                    self._forward_link(from_node, plan[4], packet, plan[5])
-                return
-            if kind == _PLAN_LINK:
-                if self.faults is None:
-                    self._push(self.now + plan[2], next(self._seq),
-                               self._arrive, (plan[1], packet))
-                else:
-                    self._forward_link(from_node, plan[1], packet, plan[2])
-                return
-            if kind == _PLAN_LOCAL:
-                self.call_later(0.0, self._deliver_local, plan[1], packet)
-                return
+        self._forward(from_node, packet, False)
+
+    def _forward(self, node: Node, packet: Packet, transit: bool) -> None:
+        """Send *packet* on from *node* by the compiled delivery plan.
+
+        *transit* marks a router forwarding traffic it received (its
+        no-route drops name the router) rather than a node emitting it.
+        """
+        plan = self._plan_for(node, packet.dst, packet.src)
+        kind = plan[0]
+        if kind == _PLAN_EXPRESS:
+            trace = self.trace
+            if (self.faults is None and packet.ttl > plan[3]
+                    and (trace is None or not trace.active)):
+                when = self.now
+                for delay in plan[2]:
+                    when += delay
+                packet.ttl -= plan[3]
+                # The skipped transit arrivals still count as steps, so
+                # ``events_processed`` — and the journal's per-unit
+                # "steps" — matches the per-hop path (e.g. the same unit
+                # run under --trace).
+                self._events_processed += plan[3]
+                hook = self.step_hook
+                if hook is not None:
+                    for _ in range(plan[3]):
+                        hook()
+                self._push(when, next(self._seq),
+                           self._arrive, (plan[1], packet))
+            else:
+                # Per-hop fallback: take one step; downstream routers
+                # re-decide at their own plan.
+                self._forward_link(node, plan[4], packet, plan[5])
+        elif kind == _PLAN_LINK:
+            if self.faults is None:
+                self._push(self.now + plan[2], next(self._seq),
+                           self._arrive, (plan[1], packet))
+            else:
+                self._forward_link(node, plan[1], packet, plan[2])
+        elif kind == _PLAN_LOCAL:
+            self.call_later(0.0, self._deliver_local, plan[1], packet)
+        elif transit:
+            self._drop(f"no-route:{node.name}", packet)
+        else:
             self._drop("no-route", packet)
-            return
-        owner = self.ip_owner.get(packet.dst)
-        if owner is None:
-            self._drop("no-route", packet)
-            return
-        if owner is from_node:
-            # Loopback delivery.
-            self.call_later(0.0, self._deliver_local, owner, packet)
-            return
-        nxt = self.next_hop(from_node, packet.dst, packet.src)
-        if nxt is None:
-            self._drop("no-route", packet)
-            return
-        self._forward_link(from_node, nxt, packet)
 
     def _drop(self, reason: str, packet: Packet) -> None:
         """Record a dropped packet (list for tests, counter for stats).
@@ -671,7 +595,7 @@ class Network:
         if trace is not None and trace.active:
             trace.emit("drop", self.now, reason=reason,
                        flow=_flow_id(packet), dst=packet.dst)
-        if recyclable and self.packet_pooling_enabled:
+        if recyclable:
             # Truncated out of the drops list: nothing retains the
             # packet anymore, so it can go back to the pool.
             self.packet_pool.release(packet)
@@ -709,7 +633,7 @@ class Network:
                 trace.emit("deliver", self.now, node=node.name,
                            flow=_flow_id(packet),
                            proto=packet.flow_key()[0])
-            if node.deliver(packet, self.now) and self.packet_pooling_enabled:
+            if node.deliver(packet, self.now):
                 self.packet_pool.release(packet)
 
     def _arrive(self, node: Node, packet: Packet) -> None:
@@ -721,8 +645,7 @@ class Network:
                     trace.emit("deliver", self.now, node=node.name,
                                flow=_flow_id(packet),
                                proto=packet.flow_key()[0])
-                if (node.deliver(packet, self.now)
-                        and self.packet_pooling_enabled):
+                if node.deliver(packet, self.now):
                     self.packet_pool.release(packet)
             else:
                 # Hosts do not forward.
@@ -771,8 +694,7 @@ class Network:
                 # the original can go back to the pool.
                 reply = make_time_exceeded(router.ip, packet)
                 self.transmit(router, reply)
-                if self.packet_pooling_enabled:
-                    self.packet_pool.release(packet)
+                self.packet_pool.release(packet)
             else:
                 self._drop(f"ttl-anon:{router.name}", packet)
             return
@@ -782,46 +704,7 @@ class Network:
             self._drop("router-is-dst", packet)
             return
 
-        if self.routing_cache_enabled and self.delivery_plans_enabled:
-            plan = self._plan_for(router, packet.dst, packet.src)
-            kind = plan[0]
-            if kind == _PLAN_EXPRESS:
-                if (self.faults is None and packet.ttl > plan[3]
-                        and (trace is None or not trace.active)):
-                    when = self.now
-                    for delay in plan[2]:
-                        when += delay
-                    packet.ttl -= plan[3]
-                    # Skipped transit arrivals still count as steps
-                    # (see :meth:`transmit`).
-                    self._events_processed += plan[3]
-                    hook = self.step_hook
-                    if hook is not None:
-                        for _ in range(plan[3]):
-                            hook()
-                    self._push(when, next(self._seq),
-                               self._arrive, (plan[1], packet))
-                else:
-                    self._forward_link(router, plan[4], packet, plan[5])
-                return
-            if kind == _PLAN_LINK:
-                if self.faults is None:
-                    self._push(self.now + plan[2], next(self._seq),
-                               self._arrive, (plan[1], packet))
-                else:
-                    self._forward_link(router, plan[1], packet, plan[2])
-                return
-            if kind == _PLAN_LOCAL:
-                self.call_later(0.0, self._deliver_local, plan[1], packet)
-                return
-            self._drop(f"no-route:{router.name}", packet)
-            return
-
-        nxt = self.next_hop(router, packet.dst, packet.src)
-        if nxt is None:
-            self._drop(f"no-route:{router.name}", packet)
-            return
-        self._forward_link(router, nxt, packet)
+        self._forward(router, packet, True)
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -288,7 +288,7 @@ class PacketPool:
     * :meth:`acquire_tcp` behaves exactly like :func:`make_tcp_packet`
       — including drawing a fresh IP id *before* honoring an explicit
       ``ip_id`` override, so the global id sequence (and therefore every
-      trace) is identical whether pooling is on or off.
+      trace) is the same as with freshly constructed packets.
     * :meth:`release` is a no-op for packets the pool did not create,
       and a counted no-op for double releases, so release sites never
       need to know a packet's provenance.

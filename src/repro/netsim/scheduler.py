@@ -1,40 +1,31 @@
-"""Event schedulers: the slotted calendar queue and the seed heap.
+"""The event scheduler: a slotted calendar queue.
 
-:class:`~repro.netsim.engine.Network` delegates its event queue to one
-of two interchangeable schedulers:
+:class:`~repro.netsim.engine.Network` delegates its event queue to a
+:class:`SlotCalendar` — a time-bucketed ring of slots, each
+:data:`SLOT_WIDTH` of virtual time wide, with a plain binary heap
+catching far-future events beyond the ring's horizon.  Near-term events
+cost an O(1) list append on insert; the drain loop activates one slot
+at a time, heapifies it once, and executes the whole batch with hoisted
+locals before touching the ring again.  Far-future events (long timers)
+migrate from the overflow heap into the ring as the horizon advances.
 
-* :class:`SlotCalendar` (the default, ``scheduler="slots"``) — a
-  time-bucketed ring of slots, each :data:`SLOT_WIDTH` of virtual time
-  wide, with a plain binary heap catching far-future events beyond the
-  ring's horizon.  Near-term events cost an O(1) list append on insert;
-  the drain loop activates one slot at a time, heapifies it once, and
-  executes the whole batch with hoisted locals before touching the ring
-  again.  Far-future events (long timers) migrate from the overflow
-  heap into the ring as the horizon advances.
-
-* :class:`HeapScheduler` (``scheduler="heap"``) — the seed repo's
-  single ``heapq``, byte for byte.  It exists as the verbatim-seed
-  escape hatch and as the reference the calendar queue is
-  property-tested against (``tests/netsim/test_scheduler_property.py``).
-
-Both schedulers order events by ``(time, seq)`` where ``seq`` is the
-network's global monotonic sequence number, so the execution order —
-and therefore every journal, table and trace a campaign writes — is
-**identical** between the two.  The calendar queue preserves that
-order because the global ``(time, seq)`` minimum always lives in the
-earliest nonempty slot, and the active slot is kept as a live heap
-while it drains (an event scheduled *during* the drain that lands in
-the active slot is heap-pushed, so it still executes in order relative
-to the rest of the batch).
+Events execute in ``(time, seq)`` order, where ``seq`` is the network's
+global monotonic sequence number — the order of a single global binary
+heap, which ``tests/netsim/test_scheduler_property.py`` checks the
+calendar against.  The calendar preserves that order because the global
+``(time, seq)`` minimum always lives in the earliest nonempty slot, and
+the active slot is kept as a live heap while it drains (an event
+scheduled *during* the drain that lands in the active slot is
+heap-pushed, so it still executes in order relative to the rest of the
+batch).
 
 Entries are 4-item lists ``[when, seq, fn, args]`` — mutable so
-:meth:`cancel` can tombstone an entry in place (``fn = None``) without
-a queue scan.  Cancelled entries are skipped by the drain loops and do
-not count against the event budget.  Nothing in the simulator cancels
-events today (the TCP stack uses generation counters instead), which is
-what keeps ``scheduler="heap"`` byte-identical to the seed; the
-cancellation API exists for schedulers' own tests and future timer
-wheels.
+:meth:`SlotCalendar.cancel` can tombstone an entry in place
+(``fn = None``) without a queue scan.  Cancelled entries are skipped by
+the drain loop and do not count against the event budget.  Nothing in
+the simulator cancels events today (the TCP stack uses generation
+counters instead); the cancellation API exists for the scheduler's own
+tests and future timer wheels.
 """
 
 from __future__ import annotations
@@ -59,122 +50,6 @@ SLOT_COUNT = 1024
 
 _SLOT_MASK = SLOT_COUNT - 1
 
-#: Scheduler kind names, as accepted by ``Network(scheduler=...)`` and
-#: the ``REPRO_SCHEDULER`` environment variable.
-SCHEDULER_KINDS = ("slots", "heap")
-
-
-def make_scheduler(kind: str):
-    """Instantiate a scheduler by kind name."""
-    if kind == "slots":
-        return SlotCalendar()
-    if kind == "heap":
-        return HeapScheduler()
-    raise SimulationError(
-        f"unknown scheduler {kind!r} (expected one of {SCHEDULER_KINDS})")
-
-
-class HeapScheduler:
-    """The seed event queue: one global binary heap.
-
-    :meth:`drain` reproduces the seed ``Network.run`` loop exactly —
-    same pop order, same budget semantics, same ``now`` advancement —
-    plus a tombstone skip that is dead code until someone cancels.
-    """
-
-    kind = "heap"
-
-    __slots__ = ("_heap", "_live", "drained")
-
-    def __init__(self) -> None:
-        self._heap: List[list] = []
-        #: Live (non-cancelled) entries; ``len()`` reports this so
-        #: ``Network.pending_events`` ignores tombstones.
-        self._live = 0
-        #: Events executed by the most recent :meth:`drain` call —
-        #: valid even when the drain raised (budget, callback error),
-        #: so ``Network.run`` can account for partial progress.
-        self.drained = 0
-
-    def push(self, when: float, seq: int, fn: Callable, args: tuple) -> list:
-        entry = [when, seq, fn, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return entry
-
-    def push_entry(self, entry: list) -> None:
-        """Re-admit an entry popped from another scheduler (migration)."""
-        heappush(self._heap, entry)
-        self._live += 1
-
-    def cancel(self, entry: list) -> bool:
-        """Tombstone *entry*; returns False if already run/cancelled."""
-        if entry[2] is None:
-            return False
-        entry[2] = None
-        self._live -= 1
-        return True
-
-    def __len__(self) -> int:
-        return self._live
-
-    def peek_when(self) -> Optional[float]:
-        """Time of the earliest live entry (tests/introspection)."""
-        for entry in sorted(self._heap):
-            if entry[2] is not None:
-                return entry[0]
-        return None
-
-    def pop_all(self) -> List[list]:
-        """Drain every live entry in execution order (migration)."""
-        heap = self._heap
-        out = []
-        while heap:
-            entry = heappop(heap)
-            if entry[2] is not None:
-                out.append(entry)
-        self._live = 0
-        return out
-
-    def drain(self, network, until: Optional[float],
-              max_events: int) -> int:
-        """Execute events in ``(when, seq)`` order; the seed loop."""
-        processed = 0
-        self.drained = 0
-        queue = self._heap
-        pop = heappop
-        hook = network.step_hook
-        try:
-            while queue:
-                head = queue[0]
-                when = head[0]
-                if until is not None and when > until:
-                    break
-                if head[2] is None:  # cancelled: skip, no budget charge
-                    pop(queue)
-                    continue
-                if processed >= max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({max_events}); "
-                        f"likely a packet loop"
-                    )
-                pop(queue)
-                self._live -= 1
-                if when > network.now:
-                    network.now = when
-                fn = head[2]
-                # Consume before calling: a cancel() against this
-                # handle (even from inside the callback) is a no-op
-                # instead of corrupting the live count.
-                head[2] = None
-                fn(*head[3])
-                processed += 1
-                if hook is not None:
-                    hook()
-        finally:
-            self.drained = processed
-        return processed
-
 
 class SlotCalendar:
     """A slotted calendar queue with batch dequeue and heap overflow.
@@ -187,12 +62,8 @@ class SlotCalendar:
     ``base`` never passes a nonempty slot.
     """
 
-    kind = "slots"
-
     __slots__ = ("_slots", "_overflow", "_base", "_live", "_ring_count",
-                 "_draining", "_inv", "drained",
-                 "overflow_pushes", "overflow_migrations",
-                 "max_slot_occupancy", "slots_activated")
+                 "_draining", "_inv", "drained")
 
     def __init__(self) -> None:
         self._slots: List[list] = [[] for _ in range(SLOT_COUNT)]
@@ -206,28 +77,16 @@ class SlotCalendar:
         #: into it must heap-push to keep the live batch ordered.
         self._draining = False
         self._inv = 1.0 / SLOT_WIDTH
+        #: Events executed by the most recent :meth:`drain` call —
+        #: valid even when the drain raised (budget, callback error),
+        #: so ``Network.run`` can account for partial progress.
         self.drained = 0
-        # Occupancy statistics (scraped by
-        # ``repro.obs.metrics.collect_scheduler_metrics`` — never by the
-        # default campaign scrape, which must stay scheduler-agnostic).
-        self.overflow_pushes = 0
-        self.overflow_migrations = 0
-        self.max_slot_occupancy = 0
-        self.slots_activated = 0
 
     def push(self, when: float, seq: int, fn: Callable, args: tuple) -> list:
         entry = [when, seq, fn, args]
         self._insert(entry)
         self._live += 1
         return entry
-
-    def push_entry(self, entry: list) -> None:
-        """Re-admit an entry popped from another scheduler (migration).
-
-        The entry object itself is re-queued, so handles returned by the
-        previous scheduler's ``push`` stay cancellable."""
-        self._insert(entry)
-        self._live += 1
 
     def _insert(self, entry: list) -> None:
         index = int(entry[0] * self._inv)
@@ -238,7 +97,6 @@ class SlotCalendar:
             index = base
         if index >= base + SLOT_COUNT:
             heappush(self._overflow, entry)
-            self.overflow_pushes += 1
         else:
             slot = self._slots[index & _SLOT_MASK]
             if self._draining and index == base:
@@ -246,9 +104,6 @@ class SlotCalendar:
             else:
                 slot.append(entry)
             self._ring_count += 1
-            occupancy = len(slot)
-            if occupancy > self.max_slot_occupancy:
-                self.max_slot_occupancy = occupancy
 
     def cancel(self, entry: list) -> bool:
         """Tombstone *entry*; returns False if already run/cancelled."""
@@ -260,28 +115,6 @@ class SlotCalendar:
 
     def __len__(self) -> int:
         return self._live
-
-    def peek_when(self) -> Optional[float]:
-        """Time of the earliest live entry (tests/introspection)."""
-        live = [entry for slot in self._slots for entry in slot
-                if entry[2] is not None]
-        live += [entry for entry in self._overflow if entry[2] is not None]
-        if not live:
-            return None
-        return min(live)[0]
-
-    def pop_all(self) -> List[list]:
-        """Drain every live entry in execution order (migration)."""
-        out = [entry for slot in self._slots for entry in slot
-               if entry[2] is not None]
-        out += [entry for entry in self._overflow if entry[2] is not None]
-        out.sort()  # (when, seq) — seq is globally unique, fn never compared
-        for slot in self._slots:
-            slot.clear()
-        self._overflow.clear()
-        self._live = 0
-        self._ring_count = 0
-        return out
 
     def _migrate(self, base: int) -> None:
         """Pull overflow entries whose slot is now inside the horizon."""
@@ -298,16 +131,17 @@ class SlotCalendar:
                 index = base
             slots[index & _SLOT_MASK].append(entry)
             self._ring_count += 1
-            self.overflow_migrations += 1
 
-    def drain(self, network, until: Optional[float],
+    def drain(self, clock, until: Optional[float],
               max_events: int) -> int:
         """Execute events in ``(when, seq)`` order, one slot batch at a
-        time.  The budget check runs before *each* event, so a
-        batch-drained slot can never overshoot ``max_events``."""
+        time, advancing ``clock.now`` and calling ``clock.step_hook``
+        (if set) after each event.  The budget check runs before *each*
+        event, so a batch-drained slot can never overshoot
+        ``max_events``."""
         processed = 0
         self.drained = 0
-        hook = network.step_hook
+        hook = clock.step_hook
         pop = heappop
         slots = self._slots
         try:
@@ -328,7 +162,6 @@ class SlotCalendar:
                 slot = slots[base & _SLOT_MASK]
                 heapify(slot)
                 self._draining = True
-                self.slots_activated += 1
 
                 # -- batch-drain the active slot (a live heap) --------
                 while slot:
@@ -348,10 +181,12 @@ class SlotCalendar:
                     pop(slot)
                     self._ring_count -= 1
                     self._live -= 1
-                    if when > network.now:
-                        network.now = when
+                    if when > clock.now:
+                        clock.now = when
                     fn = head[2]
-                    # Consume before calling (see HeapScheduler.drain).
+                    # Consume before calling: a cancel() against this
+                    # handle (even from inside the callback) is a no-op
+                    # instead of corrupting the live count.
                     head[2] = None
                     fn(*head[3])
                     processed += 1

@@ -255,31 +255,6 @@ def collect_network_metrics(registry: MetricsRegistry, network,
                          layer=layer, **labels).inc(count)
 
 
-def collect_scheduler_metrics(registry: MetricsRegistry, network,
-                              **labels: str) -> None:
-    """Scrape the event scheduler's occupancy statistics.
-
-    Kept **out** of :func:`collect_network_metrics` deliberately: slot
-    occupancy and overflow counts depend on which scheduler is running,
-    and the default campaign scrape must stay byte-identical between
-    ``scheduler="slots"`` and the ``scheduler="heap"`` escape hatch.
-    Call this explicitly when profiling the calendar queue.
-    """
-    sched = network._sched
-    registry.gauge("scheduler_pending_events",
-                   kind=sched.kind, **labels).set(len(sched))
-    if sched.kind != "slots":
-        return
-    registry.counter("scheduler_slots_activated_total",
-                     **labels).inc(sched.slots_activated)
-    registry.counter("scheduler_overflow_pushes_total",
-                     **labels).inc(sched.overflow_pushes)
-    registry.counter("scheduler_overflow_migrations_total",
-                     **labels).inc(sched.overflow_migrations)
-    registry.gauge("scheduler_max_slot_occupancy",
-                   **labels).set(sched.max_slot_occupancy)
-
-
 def collect_world_metrics(registry: MetricsRegistry, world,
                           **labels: str) -> None:
     """Scrape a whole world: network, middleboxes, resolvers."""

@@ -9,7 +9,6 @@ generate OONI's false positives (section 6.2).
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, Tuple
 
@@ -19,22 +18,9 @@ from .corpus import Website
 
 #: Memoized generated content.  Generation is a pure function of the
 #: cache key (the RNGs are seeded from it), so memoization cannot
-#: change a single byte served — it only skips regeneration.  Disable
-#: with ``set_content_cache(False)`` or ``REPRO_CONTENT_CACHE=0`` to
-#: route through the seed generators on every call.
-_content_cache_enabled = (
-    os.environ.get("REPRO_CONTENT_CACHE", "1").lower()
-    not in ("0", "false", "no", "off"))
+#: change a single byte served — it only skips regeneration.
 _body_cache: Dict[tuple, str] = {}
 _parked_cache: Dict[tuple, str] = {}
-
-
-def set_content_cache(enabled: bool) -> None:
-    """Toggle content memoization (clears the caches either way)."""
-    global _content_cache_enabled
-    _content_cache_enabled = enabled
-    _body_cache.clear()
-    _parked_cache.clear()
 
 
 def _words(rng: random.Random, pool, count: int) -> str:
@@ -54,22 +40,19 @@ def _paragraphs(rng: random.Random, site: Website, size_target: int) -> str:
 
 def static_body(site: Website) -> str:
     """The stable portion of a site's page (same from everywhere)."""
-    if _content_cache_enabled:
-        # The key carries every attribute the output depends on (the
-        # RNG seeds on the domain alone), so two Website objects that
-        # would generate different bytes can never collide.
-        key = (site.domain, site.page_style, site.title,
-               site.body_size, site.category)
-        cached = _body_cache.get(key)
-        if cached is None:
-            cached = _generate_static_body(site)
-            _body_cache[key] = cached
-        return cached
-    return _generate_static_body(site)
+    # The key carries every attribute the output depends on (the RNG
+    # seeds on the domain alone), so two Website objects that would
+    # generate different bytes can never collide.
+    key = (site.domain, site.page_style, site.title,
+           site.body_size, site.category)
+    cached = _body_cache.get(key)
+    if cached is None:
+        cached = _body_cache[key] = _generate_static_body(site)
+    return cached
 
 
 def _generate_static_body(site: Website) -> str:
-    """The seed generator: synthesize the body from scratch."""
+    """Synthesize the body from scratch."""
     rng = random.Random(f"body|{site.domain}")
     if site.page_style == "redirect":
         return (
@@ -153,20 +136,17 @@ def parked_response(domain: str, provider: str, region: str) -> HTTPResponse:
     so comparing a direct fetch against a control fetch flags the site
     even though nothing is censored — OONI's GoDaddy false positive.
     """
-    if _content_cache_enabled:
-        key = (domain, provider, region)
-        body = _parked_cache.get(key)
-        if body is None:
-            body = _generate_parked_body(domain, provider, region)
-            _parked_cache[key] = body
-    else:
-        body = _generate_parked_body(domain, provider, region)
+    key = (domain, provider, region)
+    body = _parked_cache.get(key)
+    if body is None:
+        body = _parked_cache[key] = _generate_parked_body(
+            domain, provider, region)
     extra = (("X-Adserver", f"pool-{region}"),) if region == "in" else ()
     return make_response(200, body.encode("latin-1"), extra_headers=extra)
 
 
 def _generate_parked_body(domain: str, provider: str, region: str) -> str:
-    """The seed generator for a parking page's HTML."""
+    """Synthesize a parking page's HTML from scratch."""
     rng = random.Random(f"park|{domain}|{provider}|{region}")
     # Localized parking pages differ in title, ad volume and header
     # names — enough to fail every one of OONI's similarity checks.

@@ -28,16 +28,19 @@ print(json.dumps(record, sort_keys=True))
 """
 
 
-def _record(hash_seed: str) -> dict:
+def _launch(hash_seed: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.path.abspath(SRC))
-    out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=300,
-                         check=True)
-    return json.loads(out.stdout)
+    return subprocess.Popen([sys.executable, "-c", _SCRIPT], env=env,
+                            stdout=subprocess.PIPE, text=True)
 
 
 def test_unit_record_is_independent_of_hash_seed():
-    first, second = _record("0"), _record("1")
-    assert first["status"] == "ok"
-    assert first == second
+    procs = [_launch("0"), _launch("1")]
+    records = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        records.append(json.loads(out))
+    assert records[0]["status"] == "ok"
+    assert records[0] == records[1]

@@ -1,10 +1,10 @@
-"""Property: the FIB fast path is the seed routing, byte for byte.
+"""Property: the FIB fast path is plain ECMP routing, byte for byte.
 
 For random topologies and address pairs, cached ``next_hop`` /
-``path_to`` must return exactly what the uncached seed implementation
-(``routing_cache_enabled = False``) returns — including after
-``add_node`` / ``link`` invalidation and with a fault plan installed
-(faults drop packets on links; they never change routing).
+``path_to`` must return exactly what the :class:`RoutingOracle`
+computes from the topology graph — including after ``add_node`` /
+``link`` invalidation and with a fault plan installed (faults drop
+packets on links; they never change routing).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.netsim import Network
 from repro.netsim.errors import RoutingError
 from repro.netsim.faults import FaultPlan
+
+from .oracles import RoutingOracle
 
 #: A few distinct delays so equal-cost sets are common but not total.
 DELAYS = (0.001, 0.005, 0.02)
@@ -48,25 +50,15 @@ def build(spec) -> Network:
     return net
 
 
-def _reference_path(net, node, dst_ip):
-    """path_to via the uncached seed implementation."""
-    net.routing_cache_enabled = False
+def _path(router, node, dst_ip):
     try:
-        return net.path_to(node, dst_ip)
-    except RoutingError as exc:
-        return ("error", str(exc))
-    finally:
-        net.routing_cache_enabled = True
-
-
-def _cached_path(net, node, dst_ip):
-    try:
-        return net.path_to(node, dst_ip)
+        return router.path_to(node, dst_ip)
     except RoutingError as exc:
         return ("error", str(exc))
 
 
 def assert_routing_equivalent(net: Network) -> None:
+    oracle = RoutingOracle(net)
     addresses = list(net.ip_owner)
     src_ips = [None] + addresses[:2]
     for name in net.nodes:
@@ -74,16 +66,13 @@ def assert_routing_equivalent(net: Network) -> None:
         for dst_ip in addresses:
             for src_ip in src_ips:
                 fast = net.next_hop(node, dst_ip, src_ip)
-                net.routing_cache_enabled = False
-                slow = net.next_hop(node, dst_ip, src_ip)
-                net.routing_cache_enabled = True
+                slow = oracle.next_hop(node, dst_ip, src_ip)
                 assert fast is slow, (
                     f"next_hop({name}, {dst_ip}, {src_ip}): "
-                    f"fib={fast} seed={slow}")
+                    f"fib={fast} oracle={slow}")
             # Twice: the second call exercises the cache-hit path.
-            assert _cached_path(net, node, dst_ip) == \
-                _cached_path(net, node, dst_ip) == \
-                _reference_path(net, node, dst_ip)
+            assert _path(net, node, dst_ip) == _path(net, node, dst_ip) \
+                == _path(oracle, node, dst_ip)
 
 
 class TestFIBEquivalence:

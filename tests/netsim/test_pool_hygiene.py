@@ -35,7 +35,6 @@ def pair():
     net.add_router("r", "10.0.0.254")
     net.link("a", "r")
     net.link("r", "b")
-    assert net.packet_pooling_enabled
     return net, a, b
 
 
@@ -188,12 +187,3 @@ class TestPoolUnit:
         assert snap["released"] == pool.released > 0
         assert pool.high_water >= 1
         assert pool.high_water <= pool.released
-
-    def test_pooling_off_uses_plain_constructor(self):
-        net = Network()
-        net.packet_pooling_enabled = False
-        a = net.add_host("a", "10.0.0.1")
-        b = net.add_host("b", "10.0.0.2")
-        net.link("a", "b")
-        assert exchange(net, a, b, b"plain") == b"echo:plain"
-        assert net.packet_pool.released == 0

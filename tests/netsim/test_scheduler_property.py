@@ -1,19 +1,28 @@
-"""Property: the slotted calendar queue IS the seed heap scheduler.
+"""Property: the slotted calendar queue IS a single global heap.
 
 For arbitrary schedules — same-time bursts, cancellations before and
 during the run, mid-drain inserts landing in the active slot, and
-far-future events that live in the overflow heap — ``scheduler="slots"``
+far-future events that live in the overflow heap — :class:`SlotCalendar`
 must execute exactly the same callbacks, in exactly the same order, at
-exactly the same virtual times as ``scheduler="heap"``.  The campaign
-byte-identity guarantees rest on this equivalence.
+exactly the same virtual times as the :class:`HeapOracle`.  The
+campaign byte-identity guarantees rest on this equivalence.
+
+Both schedulers are driven directly through ``push`` / ``cancel`` /
+``drain(clock, until, max_events)`` by :class:`Clock`, the slice of
+``Network`` that schedules and runs events; the equivalence property
+also runs every schedule through a real ``Network``.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Network
 from repro.netsim.errors import SimulationError
-from repro.netsim.scheduler import SLOT_COUNT, SLOT_WIDTH, make_scheduler
+from repro.netsim.scheduler import SLOT_COUNT, SLOT_WIDTH, SlotCalendar
+
+from .oracles import HeapOracle
 
 #: Past this horizon an event cannot land in the ring and must take the
 #: overflow-heap path.
@@ -56,10 +65,43 @@ def schedules(draw):
     return times, pre_cancel, run_cancel, follow
 
 
-def run_schedule(kind, spec):
-    """Execute *spec* under the given scheduler; return the event log."""
+#: Scheduler under test, by parameter id.
+KINDS = {"heap": HeapOracle, "slots": SlotCalendar}
+
+
+class Clock:
+    """``Network``'s event-queue surface over any scheduler."""
+
+    def __init__(self, kind: str) -> None:
+        self.sched = KINDS[kind]()
+        self.now = 0.0
+        self.step_hook = None
+        self.events_processed = 0
+        self._seq = itertools.count()
+
+    def call_at(self, when, fn, *args):
+        return self.sched.push(when, next(self._seq), fn, args)
+
+    def call_later(self, delay, fn, *args):
+        return self.call_at(self.now + delay, fn, *args)
+
+    def cancel_scheduled(self, handle):
+        return self.sched.cancel(handle)
+
+    def run_until_idle(self, max_events=20_000_000):
+        try:
+            return self.sched.drain(self, None, max_events)
+        finally:
+            self.events_processed += self.sched.drained
+
+    @property
+    def pending_events(self):
+        return len(self.sched)
+
+
+def run_schedule(net, spec):
+    """Execute *spec* on *net* (a Clock or a Network); return the log."""
     times, pre_cancel, run_cancel, follow = spec
-    net = Network(scheduler=kind)
     log = []
     handles = []
     victims = {}
@@ -88,13 +130,13 @@ class TestSchedulerEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(spec=schedules())
     def test_slots_match_heap_exactly(self, spec):
-        heap_result = run_schedule("heap", spec)
-        slots_result = run_schedule("slots", spec)
-        assert slots_result == heap_result
+        heap_result = run_schedule(Clock("heap"), spec)
+        assert run_schedule(Clock("slots"), spec) == heap_result
+        assert run_schedule(Network(), spec) == heap_result
 
     def test_same_time_burst_preserves_fifo(self):
-        for kind in ("heap", "slots"):
-            net = Network(scheduler=kind)
+        for kind in KINDS:
+            net = Clock(kind)
             log = []
             for i in range(50):
                 net.call_at(1.0, log.append, i)
@@ -105,8 +147,8 @@ class TestSchedulerEquivalence:
         """Overflow events migrate back into the ring in order."""
         horizon = OVERFLOW_HORIZON
         whens = [horizon * 150, 0.5, horizon * 3, horizon + 0.25, 2.0]
-        for kind in ("heap", "slots"):
-            net = Network(scheduler=kind)
+        for kind in KINDS:
+            net = Clock(kind)
             log = []
             for i, when in enumerate(whens):
                 net.call_at(when, log.append, i)
@@ -114,28 +156,13 @@ class TestSchedulerEquivalence:
             assert log == [1, 4, 3, 2, 0], kind
             assert net.now == horizon * 150
 
-    def test_set_scheduler_migrates_pending_and_handles(self):
-        net = Network(scheduler="heap")
-        log = []
-        keep = net.call_at(1.0, log.append, "keep")
-        doomed = net.call_at(2.0, log.append, "doomed")
-        net.call_at(OVERFLOW_HORIZON * 5, log.append, "far")
-        net.set_scheduler("slots")
-        assert net.scheduler == "slots"
-        assert net.pending_events == 3
-        # Handles taken under the heap still cancel under slots.
-        assert net.cancel_scheduled(doomed)
-        net.run_until_idle()
-        assert log == ["keep", "far"]
-        assert not net.cancel_scheduled(keep)  # already ran
-
 
 class TestEventBudget:
     """Satellite: the budget bites after exactly ``max_events``."""
 
     @pytest.mark.parametrize("kind", ["heap", "slots"])
     def test_exactly_max_events_completes(self, kind):
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         for i in range(7):
             net.call_at(0.001 * i, lambda: None)
         assert net.run_until_idle(max_events=7) == 7
@@ -143,7 +170,7 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("kind", ["heap", "slots"])
     def test_one_past_budget_raises_with_exactly_max_executed(self, kind):
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         ran = []
         for i in range(8):
             net.call_at(0.001 * i, ran.append, i)
@@ -158,7 +185,7 @@ class TestEventBudget:
     def test_budget_checked_inside_a_slot_batch(self, kind):
         """All events share one slot; the batch drain must still stop
         at the budget, not at the slot boundary."""
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         ran = []
         for i in range(10):
             net.call_at(1.0, ran.append, i)
@@ -169,7 +196,7 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("kind", ["heap", "slots"])
     def test_cancelled_events_do_not_charge_the_budget(self, kind):
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         ran = []
         handles = [net.call_at(0.001 * i, ran.append, i) for i in range(10)]
         for handle in handles[:5]:
@@ -181,7 +208,7 @@ class TestEventBudget:
     def test_partial_progress_survives_a_blown_budget(self, kind):
         """After the budget raises, the remaining events are intact and
         a second run finishes them — with events_processed cumulative."""
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         ran = []
         for i in range(6):
             net.call_at(0.001 * i, ran.append, i)
@@ -193,7 +220,7 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("kind", ["heap", "slots"])
     def test_mid_drain_inserts_count_against_the_budget(self, kind):
-        net = Network(scheduler=kind)
+        net = Clock(kind)
         count = [0]
 
         def chain():
@@ -206,17 +233,18 @@ class TestEventBudget:
         assert count[0] == 100
 
 
-class TestSlotStats:
-    def test_occupancy_counters_move(self):
-        sched = make_scheduler("slots")
-        assert sched.kind == "slots"
-        net = Network(scheduler="slots")
+class TestSlotOverflow:
+    def test_far_events_migrate_in_order(self):
+        net = Clock("slots")
+        log = []
         for i in range(20):
-            net.call_at(0.0, lambda: None)
-        net.call_at(OVERFLOW_HORIZON * 2, lambda: None)
+            net.call_at(0.0, log.append, i)
+        net.call_at(OVERFLOW_HORIZON * 2, log.append, "far")
+        sched = net.sched
+        assert len(sched._overflow) == 1
+        assert sched._ring_count == 20
         net.run_until_idle()
-        stats = net._sched
-        assert stats.max_slot_occupancy >= 20
-        assert stats.overflow_pushes >= 1
-        assert stats.overflow_migrations >= 1
-        assert stats.slots_activated >= 2
+        assert log == list(range(20)) + ["far"]
+        assert not sched._overflow
+        assert sched._ring_count == 0
+        assert net.now == OVERFLOW_HORIZON * 2

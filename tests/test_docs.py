@@ -65,7 +65,8 @@ def test_package_index_catches_missing_package(monkeypatch):
 def test_documented_env_vars_exist_in_source():
     known = check_docs.source_env_vars()
     assert {"REPRO_BENCH_FRACTION", "REPRO_POPULATION_SCALE",
-            "REPRO_SCHEDULER", "REPRO_PACKET_POOLING"} <= known
+            "REPRO_CAMPAIGN_CRASH_AFTER", "REPRO_CAMPAIGN_WORKER_KILL"} \
+        <= known
     # A doc mentioning a var the source doesn't define is flagged,
     # with its line number.
     errors = check_docs.check_env_vars(
